@@ -1,30 +1,27 @@
 //! The CEP engine: runtime deployment and execution of gesture queries.
 //!
-//! The engine owns a [`Catalog`] of streams/views and a set of deployed
-//! queries. Tuples are pushed per base stream; for every deployed query
-//! the engine runs the required view chain (e.g. `kinect` → `kinect_t`)
-//! and advances the query's NFA. Queries can be deployed, undeployed and
-//! replaced while the stream is live — the paper's "exchanging the
-//! applications' pre-defined navigation operations during runtime" (§4).
+//! The engine owns a [`Catalog`] of streams/views and one
+//! [`SessionRuntime`] holding the deployed queries. Tuples are pushed per
+//! base stream; the runtime evaluates the required views (e.g. `kinect`
+//! → `kinect_t`) once and advances every query's NFA. Queries can be
+//! deployed, undeployed and replaced while the stream is live — the
+//! paper's "exchanging the applications' pre-defined navigation
+//! operations during runtime" (§4).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use gesto_stream::{Catalog, SharedViews, Tuple};
+use gesto_stream::{Catalog, Tuple};
 use parking_lot::{Mutex, RwLock};
 
 use crate::error::CepError;
 use crate::expr::FunctionRegistry;
-use crate::match_op::Detection;
 use crate::parser::parse_query;
 use crate::pattern::Query;
-use crate::plan::{PlanInstance, QueryPlan};
+use crate::plan::{Detection, QueryPlan};
+use crate::session::SessionRuntime;
 
 /// Callback invoked on every detection.
 pub type DetectionListener = Arc<dyn Fn(&Detection) + Send + Sync>;
-
-/// The deployed-query registry type.
-type QueryMap = HashMap<String, Mutex<PlanInstance>>;
 
 /// Runtime statistics of a deployed query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,16 +40,14 @@ pub struct QueryStats {
 
 /// The CEP engine.
 ///
-/// The engine is one logical session: it owns a [`SharedViews`] runtime,
-/// so every registered view is evaluated **once per pushed tuple** and
-/// its output is shared by reference across all deployed query routes
-/// (the transform-once data path). Lock order is `views` → `queries`
-/// everywhere.
+/// The engine is one logical session: a [`SessionRuntime`] behind a
+/// mutex, so every registered view is evaluated **once per pushed
+/// batch** and its output is shared by reference across all deployed
+/// queries (the transform-once data path).
 pub struct Engine {
     catalog: Arc<Catalog>,
     funcs: Arc<FunctionRegistry>,
-    views: Mutex<SharedViews>,
-    queries: RwLock<HashMap<String, Mutex<PlanInstance>>>,
+    session: Mutex<SessionRuntime>,
     listeners: RwLock<Vec<DetectionListener>>,
 }
 
@@ -64,39 +59,12 @@ impl Engine {
 
     /// Creates an engine with a custom function registry.
     pub fn with_functions(catalog: Arc<Catalog>, funcs: Arc<FunctionRegistry>) -> Self {
-        let views = Mutex::new(SharedViews::new(&catalog));
         Self {
+            session: Mutex::new(SessionRuntime::new(catalog.clone())),
             catalog,
             funcs,
-            views,
-            queries: RwLock::new(HashMap::new()),
             listeners: RwLock::new(Vec::new()),
         }
-    }
-
-    /// Re-syncs the shared view runtime with the catalog and the set of
-    /// deployed queries: instantiates views registered since the last
-    /// deploy, marks exactly the views referenced by some route (plus
-    /// their inputs) as needed, and declares the float columns the
-    /// deployed predicates read so the per-batch columnar blocks only
-    /// materialise those lanes. Called under the deploy locks.
-    fn sync_views(views: &mut SharedViews, catalog: &Catalog, queries: &QueryMap) {
-        views.refresh(catalog);
-        let mut needed: Vec<String> = Vec::new();
-        let mut plans = Vec::with_capacity(queries.len());
-        for entry in queries.values() {
-            let inst = entry.lock();
-            for route in inst.plan().routes() {
-                for v in &route.views {
-                    if !needed.contains(v) {
-                        needed.push(v.clone());
-                    }
-                }
-            }
-            plans.push(inst.plan().clone());
-        }
-        views.set_needed(needed.iter().map(String::as_str));
-        crate::plan::sync_block_columns(views, plans.iter());
     }
 
     /// The engine's catalog.
@@ -129,16 +97,14 @@ impl Engine {
 
     /// Deploys an already-compiled plan (no recompilation — the cheap
     /// path when the same plan is shared across many engines). Fails if a
-    /// query with the same name is already deployed.
+    /// query with the same name is already deployed, or if the plan reads
+    /// a view this engine's catalog lacks.
     pub fn deploy_plan(&self, plan: Arc<QueryPlan>) -> Result<(), CepError> {
-        let mut views = self.views.lock();
-        let mut queries = self.queries.write();
-        if queries.contains_key(plan.name()) {
+        let mut session = self.session.lock();
+        if session.plans().any(|p| p.name() == plan.name()) {
             return Err(CepError::DuplicateQuery(plan.name().to_owned()));
         }
-        queries.insert(plan.name().to_owned(), Mutex::new(plan.instantiate()));
-        Self::sync_views(&mut views, &self.catalog, &queries);
-        Ok(())
+        session.deploy(plan)
     }
 
     /// Parses and deploys query text.
@@ -148,62 +114,58 @@ impl Engine {
 
     /// Removes a deployed query.
     pub fn undeploy(&self, name: &str) -> Result<Query, CepError> {
-        let mut views = self.views.lock();
-        let mut queries = self.queries.write();
-        let removed = queries
-            .remove(name)
-            .map(|d| d.into_inner().plan().query().clone())
-            .ok_or_else(|| CepError::UnknownQuery(name.to_owned()))?;
-        Self::sync_views(&mut views, &self.catalog, &queries);
-        Ok(removed)
+        Ok(self.session.lock().undeploy(name)?.query().clone())
     }
 
     /// Atomically replaces a deployed query of the same name (deploys if
     /// absent). Partial matches of the old query are discarded.
     pub fn replace(&self, query: Query) -> Result<(), CepError> {
-        self.replace_plan(self.compile(query)?);
-        Ok(())
+        self.replace_plan(self.compile(query)?)
     }
 
-    /// [`Self::replace`] for an already-compiled plan.
-    pub fn replace_plan(&self, plan: Arc<QueryPlan>) {
-        let mut views = self.views.lock();
-        let mut queries = self.queries.write();
-        queries.insert(plan.name().to_owned(), Mutex::new(plan.instantiate()));
-        Self::sync_views(&mut views, &self.catalog, &queries);
+    /// [`Self::replace`] for an already-compiled plan: an undeploy
+    /// followed by a deploy, under one lock. Fails if the plan reads a
+    /// view this engine's catalog lacks; the old query is then removed.
+    pub fn replace_plan(&self, plan: Arc<QueryPlan>) -> Result<(), CepError> {
+        let mut session = self.session.lock();
+        let _ = session.undeploy(plan.name());
+        session.deploy(plan)
     }
 
     /// Names of deployed queries (sorted).
     pub fn deployed(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.queries.read().keys().cloned().collect();
+        let mut v: Vec<String> = self
+            .session
+            .lock()
+            .plans()
+            .map(|p| p.name().to_owned())
+            .collect();
         v.sort();
         v
     }
 
     /// Number of deployed queries.
     pub fn len(&self) -> usize {
-        self.queries.read().len()
+        self.session.lock().plans().count()
     }
 
     /// True when no queries are deployed.
     pub fn is_empty(&self) -> bool {
-        self.queries.read().is_empty()
+        self.len() == 0
     }
 
     /// Statistics of one deployed query.
     pub fn stats(&self, name: &str) -> Result<QueryStats, CepError> {
-        let queries = self.queries.read();
-        let d = queries
-            .get(name)
-            .ok_or_else(|| CepError::UnknownQuery(name.to_owned()))?
-            .lock();
-        Ok(d.stats())
+        self.session
+            .lock()
+            .stats()
+            .find(|s| s.name == name)
+            .ok_or_else(|| CepError::UnknownQuery(name.to_owned()))
     }
 
     /// Statistics of every deployed query, sorted by name.
     pub fn stats_all(&self) -> Vec<QueryStats> {
-        let queries = self.queries.read();
-        let mut out: Vec<QueryStats> = queries.values().map(|d| d.lock().stats()).collect();
+        let mut out: Vec<QueryStats> = self.session.lock().stats().collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
@@ -212,9 +174,7 @@ impl Engine {
     /// hand-off point for moving deployments into another runtime (e.g. a
     /// multi-session server) without recompiling.
     pub fn deployed_plans(&self) -> Vec<Arc<QueryPlan>> {
-        let queries = self.queries.read();
-        let mut out: Vec<Arc<QueryPlan>> =
-            queries.values().map(|d| d.lock().plan().clone()).collect();
+        let mut out: Vec<Arc<QueryPlan>> = self.session.lock().plans().cloned().collect();
         out.sort_by(|a, b| a.name().cmp(b.name()));
         out
     }
@@ -230,9 +190,8 @@ impl Engine {
 
     /// Pushes a batch of tuples of one stream; returns all detections.
     ///
-    /// Amortises route dispatch across the batch: the view runtime, the
-    /// query registry and every instance lock are acquired once for the
-    /// whole batch, not once per tuple.
+    /// Amortises dispatch across the batch: the session lock is acquired
+    /// once for the whole batch, not once per tuple.
     pub fn push_batch(&self, stream: &str, tuples: &[Tuple]) -> Result<Vec<Detection>, CepError> {
         let mut out = Vec::new();
         self.push_batch_into(stream, tuples, &mut out)?;
@@ -242,13 +201,16 @@ impl Engine {
     /// [`Self::push_batch`] into a caller-owned buffer (the allocation-
     /// free variant for hot loops that reuse a detections scratch).
     /// Detections are appended; the buffer is not cleared. Within one
-    /// batch, detections are grouped per query (each query's NFA steps
-    /// the whole batch in one call) and stream-ordered within a query.
+    /// batch, detections are grouped per query in deployment order (each
+    /// query's NFA steps the whole batch in one call) and stream-ordered
+    /// within a query.
     ///
-    /// Listeners fire after the batch completes, with no engine locks
-    /// held — a listener may safely call back into the engine (stats,
-    /// push, deploy). On error, detections already appended to `out`
-    /// have been reported to listeners.
+    /// Every query steps the batch even if one fails; the first error is
+    /// returned (see [`SessionRuntime::step`]). Listeners fire after the
+    /// batch completes, with no engine locks held — a listener may
+    /// safely call back into the engine (stats, push, deploy). On error,
+    /// detections already appended to `out` have been reported to
+    /// listeners.
     pub fn push_batch_into(
         &self,
         stream: &str,
@@ -257,22 +219,11 @@ impl Engine {
     ) -> Result<(), CepError> {
         let fresh = out.len();
         let result = {
-            let mut views = self.views.lock();
-            let queries = self.queries.read();
-            let mut instances: Vec<_> = queries.values().map(|m| m.lock()).collect();
-            // Transform-once, step-batched: every needed view runs once
-            // over the whole batch, then each deployed plan advances its
-            // NFA batch-at-a-time over the shared outputs.
-            views.begin_batch(stream, tuples);
-            let mut run = || -> Result<(), CepError> {
-                for inst in instances.iter_mut() {
-                    inst.push_batch_shared(stream, tuples, &views, out)?;
-                }
-                Ok(())
-            };
-            run()
+            let mut session = self.session.lock();
+            session.views_mut().begin_batch(stream, tuples);
+            session.step(stream, tuples, out)
         };
-        // All locks are released before listeners run, so listeners can
+        // The lock is released before listeners run, so listeners can
         // re-enter the engine without self-deadlocking.
         if out.len() > fresh {
             let listeners = self.listeners.read();
@@ -294,10 +245,7 @@ impl Engine {
     /// Resets all partial matches of all queries (e.g. between test
     /// passes).
     pub fn reset_runs(&self) {
-        let queries = self.queries.read();
-        for entry in queries.values() {
-            entry.lock().reset();
-        }
+        self.session.lock().reset();
     }
 }
 

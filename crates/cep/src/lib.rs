@@ -3,9 +3,9 @@
 //! The CEP engine of the reproduction of *Beier et al., "Learning Event
 //! Patterns for Gesture Detection"* (EDBT 2014): a query language in the
 //! paper's dialect (Fig. 1), an expression evaluator with user-defined
-//! scalar functions, an NFA-based `match` operator with `within` time
-//! constraints and `select`/`consume` policies, and a runtime engine that
-//! deploys, replaces and undeploys queries on live streams.
+//! scalar functions, an NFA-based matcher with `within` time
+//! constraints and `select`/`consume` policies, and a per-session runtime
+//! that deploys, rolls out and undeploys queries on live streams.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -35,21 +35,23 @@ mod error;
 pub mod expr;
 pub mod fixtures;
 mod lexer;
-mod match_op;
 pub mod metrics;
 mod nfa;
 mod parser;
 mod pattern;
 mod plan;
+mod session;
 
 pub use engine::{DetectionListener, Engine, QueryStats};
 pub use error::CepError;
 pub use expr::{BinOp, Expr, FunctionRegistry, UnaryOp};
-pub use match_op::{detection_schema, Detection, MatchOp};
 pub use nfa::{
     MatchScratch, MatchView, Nfa, NfaMatch, NfaProgram, NfaRuntime, SchemaResolver, SingleSchema,
     TimeConstraint, DEFAULT_MAX_RUNS,
 };
 pub use parser::{parse_expr, parse_pattern, parse_query};
 pub use pattern::{ConsumePolicy, EventPattern, Pattern, Query, SelectPolicy, SequencePattern};
-pub use plan::{compiled_plan_count, sync_block_columns, PlanInstance, QueryPlan, RouteSpec};
+pub use plan::{
+    compiled_plan_count, sync_block_columns, Detection, PlanInstance, QueryPlan, RouteSpec,
+};
+pub use session::SessionRuntime;

@@ -277,6 +277,11 @@ impl NfaProgram {
         &self.constraints
     }
 
+    /// The pattern's select and consume policies.
+    pub(crate) fn policies(&self) -> (SelectPolicy, ConsumePolicy) {
+        (self.select, self.consume)
+    }
+
     /// The column indices the block kernels read for steps listening to
     /// `source` (sorted, deduplicated) — exactly the float lanes a
     /// [`ColumnBlock`] must materialise for the predicate pre-pass to
@@ -324,8 +329,7 @@ pub struct NfaRuntime {
     /// Arena mark/remap scratch for compaction.
     remap: Vec<u32>,
     /// When false, tuples stop seeding new runs; existing runs still
-    /// advance to completion (the draining half of a versioned plan
-    /// rollout).
+    /// advance to completion (a retiring version of a rolled-out plan).
     seeding: bool,
     /// Scratch backing the legacy [`Self::advance`] wrapper.
     legacy_scratch: MatchScratch,
@@ -417,17 +421,12 @@ impl NfaRuntime {
         self.runs.len()
     }
 
-    /// Enables or disables seeding of new runs. With seeding off the
-    /// runtime drains: tuples still advance (and complete) existing
-    /// partial matches, but never start new ones — once
-    /// [`Self::active_runs`] reaches zero the runtime is inert.
-    pub fn set_seeding(&mut self, seeding: bool) {
-        self.seeding = seeding;
-    }
-
-    /// Whether tuples may seed new runs (see [`Self::set_seeding`]).
-    pub fn is_seeding(&self) -> bool {
-        self.seeding
+    /// Stops seeding new runs: the runtime drains. Tuples still advance
+    /// (and complete) existing partial matches, but never start new
+    /// ones — once [`Self::active_runs`] reaches zero the runtime is
+    /// inert.
+    pub(crate) fn stop_seeding(&mut self) {
+        self.seeding = false;
     }
 
     /// Runs discarded because of the `max_runs` cap.

@@ -11,12 +11,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gesto_stream::{BoxedOperator, Catalog, ColumnBlock, SharedViews, Tuple, ViewFactory};
+use gesto_stream::{Catalog, ColumnBlock, SharedViews, StreamError, Tuple, ViewFactory};
 
 use crate::engine::QueryStats;
 use crate::error::CepError;
 use crate::expr::FunctionRegistry;
-use crate::match_op::Detection;
 use crate::nfa::{MatchScratch, Nfa, NfaProgram};
 use crate::pattern::Query;
 
@@ -31,17 +30,17 @@ pub fn compiled_plan_count() -> u64 {
 }
 
 /// One source of a query and how to reach it from its base stream: the
-/// view factories to instantiate, outermost last.
+/// chain of views between them, outermost last.
 pub struct RouteSpec {
     /// Source name as written in the query (stream or view).
     pub source: String,
     /// Base stream the source resolves to.
     pub base: String,
-    /// View operator factories, base→source order.
+    /// View operator factories, base→source order: what a private,
+    /// per-route operator chain would instantiate.
     pub factories: Vec<ViewFactory>,
-    /// Names of the views in `factories`, base→source order. The shared
-    /// data path resolves these to [`SharedViews`] slots instead of
-    /// instantiating the factories per route.
+    /// Names of the views in `factories`, base→source order. The data
+    /// path resolves these to the session's [`SharedViews`] slots.
     pub views: Vec<String>,
 }
 
@@ -101,54 +100,65 @@ impl QueryPlan {
     }
 
     /// Stamps out fresh per-session runtime state over this shared plan:
-    /// an empty NFA run set (private view chains are built lazily, only
-    /// if the instance is pushed through the legacy per-route path).
-    /// Cheap — no parsing, compilation or catalog lookups.
+    /// an empty NFA run set. Cheap — no parsing, compilation or catalog
+    /// lookups.
     pub fn instantiate(self: &Arc<Self>) -> PlanInstance {
         PlanInstance {
             plan: Arc::clone(self),
-            chains: None,
             bindings: None,
             nfa: Nfa::instantiate(Arc::clone(&self.program)),
             scratch: MatchScratch::new(),
-            staged: Vec::new(),
             detections: 0,
         }
     }
 }
 
-/// How one route of a [`PlanInstance`] reads its tuples on the shared
-/// (transform-once) data path.
-enum RouteBinding {
-    /// The route's source is the base stream itself.
-    Direct,
-    /// The route reads the output of a [`SharedViews`] slot.
-    Shared(usize),
-    /// The source view is unknown to the session's `SharedViews` (e.g. a
-    /// plan compiled against a different catalog); this route falls back
-    /// to a private operator chain.
-    Private,
+/// A completed match of one deployed query: the "result tuple … which
+/// can be used to trigger arbitrary actions in any listening
+/// application" of the paper's §2.
+#[derive(Debug, Clone)]
+pub struct Detection {
+    /// Gesture (query) name.
+    pub gesture: String,
+    /// Completion stream time.
+    pub ts: i64,
+    /// Stream time of the first matched event.
+    pub started_at: i64,
+    /// The matched event tuples, one per pattern step. Shared: cloning a
+    /// detection (e.g. fanning it out to several sinks) bumps one
+    /// refcount instead of deep-copying the events; call
+    /// [`Self::events_vec`] to materialise an owned copy at the facade
+    /// boundary.
+    pub events: Arc<[Tuple]>,
+}
+
+impl Detection {
+    /// Duration of the gesture in stream milliseconds.
+    pub fn duration_ms(&self) -> i64 {
+        self.ts - self.started_at
+    }
+
+    /// Materialises an owned copy of the matched event tuples (the
+    /// internal storage is shared).
+    pub fn events_vec(&self) -> Vec<Tuple> {
+        self.events.to_vec()
+    }
 }
 
 /// Per-session runtime state of one deployed [`QueryPlan`]: NFA run
-/// state, a detection counter, and (only on the legacy per-route path)
-/// private view chains.
+/// state and a detection counter. View outputs come from the session's
+/// [`SharedViews`], evaluated once per batch for every plan.
 pub struct PlanInstance {
     plan: Arc<QueryPlan>,
-    /// Private view operators, parallel to `plan.routes()`. Built lazily
-    /// by the legacy [`Self::push`] path; instances driven through
-    /// [`Self::push_shared`] never pay for them.
-    chains: Option<Vec<Vec<BoxedOperator>>>,
-    /// Route → shared-view binding, resolved once on the first
-    /// [`Self::push_shared`] call (slots are stable: [`SharedViews`]
-    /// only ever appends).
-    bindings: Option<Vec<RouteBinding>>,
+    /// Per route, the [`SharedViews`] slot of its outermost view (`None`
+    /// when the route reads the base stream itself). Resolved once on
+    /// the first push; slots are stable, as [`SharedViews`] only ever
+    /// appends.
+    bindings: Option<Vec<Option<usize>>>,
     nfa: Nfa,
     /// Reusable match output of the batched NFA core: the steady-state
     /// no-match path allocates nothing.
     scratch: MatchScratch,
-    /// Reusable private-chain output buffer.
-    staged: Vec<Tuple>,
     detections: u64,
 }
 
@@ -173,18 +183,11 @@ impl PlanInstance {
         self.nfa.reset();
     }
 
-    /// Switches the instance into (or out of) draining mode: while
-    /// draining, pushed tuples still advance and complete existing
-    /// partial matches but never seed new ones. A versioned rollout
-    /// keeps the retiring instance draining until [`Self::active_runs`]
-    /// hits zero, so no in-flight match is dropped at cutover.
-    pub fn set_draining(&mut self, draining: bool) {
-        self.nfa.set_seeding(!draining);
-    }
-
-    /// Whether the instance is draining (see [`Self::set_draining`]).
-    pub fn is_draining(&self) -> bool {
-        !self.nfa.is_seeding()
+    /// Switches the instance into draining mode: pushed tuples still
+    /// advance and complete existing partial matches but never seed new
+    /// ones (the retiring half of a versioned rollout).
+    pub(crate) fn set_draining(&mut self) {
+        self.nfa.stop_seeding();
     }
 
     /// Live partial matches (cheap accessor for drain polling).
@@ -193,11 +196,10 @@ impl PlanInstance {
     }
 
     /// Approximate heap footprint of this instance's run state (see
-    /// [`crate::NfaRuntime::state_bytes`]): the NFA slab/arena plus the
-    /// staged private-chain buffer. Serving admission control charges
-    /// this against the per-shard memory budget.
+    /// [`crate::NfaRuntime::state_bytes`]). Serving admission control
+    /// charges this against the per-shard memory budget.
     pub fn state_bytes(&self) -> usize {
-        self.nfa.state_bytes() + self.staged.capacity() * std::mem::size_of::<Tuple>()
+        self.nfa.state_bytes()
     }
 
     /// Runtime statistics in the engine's [`QueryStats`] shape.
@@ -211,85 +213,11 @@ impl PlanInstance {
         }
     }
 
-    /// Pushes one tuple of base stream `stream`, appending any detections
-    /// to `out` — the **legacy per-route path**: every route runs its own
-    /// private view chain. Kept as the reference semantics (the
-    /// equivalence tests pin [`Self::push_shared`] against it) and as the
-    /// fallback when no [`SharedViews`] is available.
-    ///
-    /// Hot path: the input tuple is only borrowed — view operators emit
-    /// owned tuples when they rewrite, and a route without views feeds the
-    /// NFA directly, so a non-matching frame costs no allocation.
-    pub fn push(
-        &mut self,
-        stream: &str,
-        tuple: &Tuple,
-        out: &mut Vec<Detection>,
-    ) -> Result<(), CepError> {
-        let Self {
-            plan,
-            chains,
-            nfa,
-            scratch,
-            staged,
-            detections,
-            ..
-        } = self;
-        let chains = chains.get_or_insert_with(|| Self::instantiate_chains(plan));
-        for (route, chain) in plan.routes.iter().zip(chains.iter_mut()) {
-            if route.base != stream {
-                continue;
-            }
-            let name = &plan.query.name;
-            if chain.is_empty() {
-                advance_batch(
-                    nfa,
-                    scratch,
-                    detections,
-                    name,
-                    &route.source,
-                    std::slice::from_ref(tuple),
-                    None,
-                    out,
-                )?;
-                continue;
-            }
-            staged.clear();
-            Self::run_chain(chain, tuple, staged);
-            advance_batch(
-                nfa,
-                scratch,
-                detections,
-                name,
-                &route.source,
-                staged,
-                None,
-                out,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Pushes one tuple of base stream `stream` on the **shared data
-    /// path**: view outputs come from `views` (already evaluated once for
-    /// this frame via [`SharedViews::begin_frame`]) instead of private
-    /// per-route chains, so N deployed plans share one transformation.
-    ///
-    /// Bindings are resolved on the first call and assume the same
-    /// `views` instance (per-session state) on every subsequent call.
-    pub fn push_shared(
-        &mut self,
-        stream: &str,
-        tuple: &Tuple,
-        views: &SharedViews,
-        out: &mut Vec<Detection>,
-    ) -> Result<(), CepError> {
-        self.push_frame_shared(stream, std::slice::from_ref(tuple), views, None, out)
-    }
-
-    /// Pushes a whole batch of base-stream tuples on the shared data
-    /// path, stepping the NFA **batch-at-a-time**: `views` must have been
-    /// prepared with [`SharedViews::begin_batch`] over the same `tuples`.
+    /// Pushes a whole batch of base-stream tuples, stepping the NFA
+    /// **batch-at-a-time**: `views` must have been prepared with
+    /// [`SharedViews::begin_batch`] over the same `tuples`, and be the
+    /// same (per-session) `views` on every call. View outputs come from
+    /// `views`, so N deployed plans share one transformation.
     ///
     /// Single-source plans (every learned gesture) advance their run set
     /// over the entire batch in one call — the run-set scan, source
@@ -297,6 +225,11 @@ impl PlanInstance {
     /// per-tuple loop, and a batch with no completed match allocates
     /// nothing. Multi-source plans fall back to frame-at-a-time stepping
     /// to preserve the cross-source interleaving of events.
+    ///
+    /// Fails with [`CepError::Stream`] if a route's view is unknown to
+    /// `views`, and with the NFA's error at the first tuple a predicate
+    /// fails to evaluate on (the rest of the batch is then skipped;
+    /// detections completed before it are still appended).
     pub fn push_batch_shared(
         &mut self,
         stream: &str,
@@ -304,22 +237,29 @@ impl PlanInstance {
         views: &SharedViews,
         out: &mut Vec<Detection>,
     ) -> Result<(), CepError> {
-        if self.plan.routes.len() == 1 {
+        let before = out.len();
+        let result = if self.plan.routes.len() == 1 {
             // Whole-batch fast path: one route means every step reads
             // the same source, so batch order == interleaved order.
-            return self.push_frame_shared(stream, tuples, views, None, out);
-        }
-        for f in 0..tuples.len() {
-            self.push_frame_shared(stream, tuples, views, Some(f), out)?;
-        }
-        Ok(())
+            self.step(stream, tuples, views, None, out)
+        } else {
+            (0..tuples.len()).try_for_each(|f| self.step(stream, tuples, views, Some(f), out))
+        };
+        self.count(out.len() - before);
+        result
     }
 
-    /// Shared-path stepping core. With `frame: None` every route
-    /// consumes the whole batch (callers guarantee this is
-    /// order-equivalent, i.e. a single route); with `frame: Some(f)`
-    /// only frame `f`'s slice of the batch is consumed.
-    fn push_frame_shared(
+    /// Adds `n` to the detection counter (the session runtime counts a
+    /// rollout's completion wave after its select policy ran).
+    pub(crate) fn count(&mut self, n: usize) {
+        self.detections += n as u64;
+    }
+
+    /// Stepping core; appends detections without counting them. With
+    /// `frame: None` every route consumes the whole batch (callers
+    /// guarantee this is order-equivalent, i.e. a single route); with
+    /// `frame: Some(f)` only frame `f`'s slice of the batch is consumed.
+    pub(crate) fn step(
         &mut self,
         stream: &str,
         tuples: &[Tuple],
@@ -329,125 +269,67 @@ impl PlanInstance {
     ) -> Result<(), CepError> {
         let Self {
             plan,
-            chains,
             bindings,
             nfa,
             scratch,
-            staged,
-            detections,
+            ..
         } = self;
-        let bindings = bindings.get_or_insert_with(|| {
-            plan.routes
-                .iter()
-                .map(|r| match r.views.last() {
-                    None => RouteBinding::Direct,
-                    Some(outermost) => match views.slot_of(outermost) {
-                        Some(slot) => RouteBinding::Shared(slot),
-                        None => RouteBinding::Private,
-                    },
-                })
-                .collect()
-        });
-        for (i, (route, binding)) in plan.routes.iter().zip(bindings.iter()).enumerate() {
+        let bindings = match bindings {
+            Some(b) => b,
+            None => bindings.insert(plan.bindings(views)?),
+        };
+        for (route, binding) in plan.routes.iter().zip(bindings.iter()) {
             if route.base != stream {
                 continue;
             }
-            let name = &plan.query.name;
-            match binding {
-                RouteBinding::Direct => {
-                    // Whole-batch stepping reads the columnar view of
-                    // the base stream built by `begin_batch` (the NFA's
-                    // predicate pre-pass runs over its float lanes);
-                    // per-frame stepping stays scalar.
-                    let (batch, block) = match frame {
-                        None => (tuples, views.base_block()),
-                        Some(f) => (&tuples[f..f + 1], None),
-                    };
-                    advance_batch(
-                        nfa,
-                        scratch,
-                        detections,
-                        name,
-                        &route.source,
-                        batch,
-                        block,
-                        out,
-                    )?;
-                }
-                RouteBinding::Shared(slot) => {
-                    let (batch, block) = match frame {
-                        None => (views.outputs(*slot), views.view_block(*slot)),
-                        Some(f) => (views.frame_outputs(*slot, f), None),
-                    };
-                    advance_batch(
-                        nfa,
-                        scratch,
-                        detections,
-                        name,
-                        &route.source,
-                        batch,
-                        block,
-                        out,
-                    )?;
-                }
-                RouteBinding::Private => {
-                    // Cold fallback (plan compiled against a foreign
-                    // catalog): chains run tuple-at-a-time, since a
-                    // multi-stage chain rewrites its staging buffer.
-                    let chains = chains.get_or_insert_with(|| Self::instantiate_chains(plan));
-                    let inputs = match frame {
-                        None => tuples,
-                        Some(f) => &tuples[f..f + 1],
-                    };
-                    for tuple in inputs {
-                        staged.clear();
-                        Self::run_chain(&mut chains[i], tuple, staged);
-                        advance_batch(
-                            nfa,
-                            scratch,
-                            detections,
-                            name,
-                            &route.source,
-                            staged,
-                            None,
-                            out,
-                        )?;
-                    }
-                }
-            }
+            // Whole-batch stepping reads the columnar blocks built by
+            // `begin_batch` (the NFA's predicate pre-pass runs over
+            // their float lanes); per-frame stepping stays scalar.
+            let (batch, block) = match (binding, frame) {
+                (None, None) => (tuples, views.base_block()),
+                (None, Some(f)) => (&tuples[f..f + 1], None),
+                (Some(slot), None) => (views.outputs(*slot), views.view_block(*slot)),
+                (Some(slot), Some(f)) => (views.frame_outputs(*slot, f), None),
+            };
+            advance_batch(
+                nfa,
+                scratch,
+                &plan.query.name,
+                &route.source,
+                batch,
+                block,
+                out,
+            )?;
         }
         Ok(())
     }
+}
 
-    /// Instantiates one private operator chain per route.
-    fn instantiate_chains(plan: &QueryPlan) -> Vec<Vec<BoxedOperator>> {
-        plan.routes
+impl QueryPlan {
+    /// Resolves every route to the slot of its outermost view in `views`
+    /// (`None` for a route over the base stream); fails if a view some
+    /// route needs is not instantiated there.
+    fn bindings(&self, views: &SharedViews) -> Result<Vec<Option<usize>>, CepError> {
+        self.check_views(views)?;
+        Ok(self
+            .routes
             .iter()
-            .map(|r| r.factories.iter().map(|f| f()).collect())
-            .collect()
+            .map(|r| r.views.last().and_then(|v| views.slot_of(v)))
+            .collect())
     }
 
-    /// Runs a non-empty view chain over one input tuple; each stage may
-    /// emit 0..n tuples. The first stage reads the borrowed input
-    /// directly.
-    fn run_chain(chain: &mut [BoxedOperator], tuple: &Tuple, staged: &mut Vec<Tuple>) {
-        let (first, rest) = chain.split_first_mut().expect("non-empty chain");
+    /// Fails with [`CepError::Stream`] naming the first view some route
+    /// needs that `views` has not instantiated (e.g. a plan compiled
+    /// against a different catalog).
+    pub(crate) fn check_views(&self, views: &SharedViews) -> Result<(), CepError> {
+        match self
+            .routes
+            .iter()
+            .flat_map(|r| &r.views)
+            .find(|v| views.slot_of(v).is_none())
         {
-            let mut emit = |t: Tuple| staged.push(t);
-            first.process(tuple, &mut emit);
-        }
-        for op in rest {
-            if staged.is_empty() {
-                break;
-            }
-            let mut next = Vec::new();
-            {
-                let mut emit = |t: Tuple| next.push(t);
-                for t in staged.iter() {
-                    op.process(t, &mut emit);
-                }
-            }
-            *staged = next;
+            Some(v) => Err(CepError::Stream(StreamError::UnknownStream(v.clone()))),
+            None => Ok(()),
         }
     }
 }
@@ -477,16 +359,14 @@ pub fn sync_block_columns<'a>(
 }
 
 /// Steps the NFA over a batch and converts any completed matches into
-/// [`Detection`]s. All plan-level paths funnel through this one call, so
-/// there is exactly one stepping implementation; the no-match steady
+/// [`Detection`]s. Every plan-level path funnels through this one call,
+/// so there is exactly one stepping implementation; the no-match steady
 /// state touches the reusable `scratch` only (no allocation). `block`,
 /// when present, is the columnar view of `tuples` enabling the NFA's
 /// vectorized predicate pre-pass.
-#[allow(clippy::too_many_arguments)]
 fn advance_batch(
     nfa: &mut Nfa,
     scratch: &mut MatchScratch,
-    detections: &mut u64,
     gesture: &str,
     source: &str,
     tuples: &[Tuple],
@@ -498,12 +378,11 @@ fn advance_batch(
     }
     // Drain the scratch even when stepping errors mid-batch: matches
     // completed by earlier tuples of the batch are still delivered
-    // (exactly like the per-tuple reference path), and a stale scratch
+    // (exactly like per-tuple stepping), and a stale scratch
     // can never leak duplicates into a later call.
     let result = nfa.advance_block_into(source, tuples, block, scratch);
     if !scratch.is_empty() {
         for m in scratch.matches() {
-            *detections += 1;
             out.push(Detection {
                 gesture: gesture.to_owned(),
                 ts: m.ts,
@@ -520,39 +399,46 @@ fn advance_batch(
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use gesto_stream::{SchemaBuilder, Value};
+    use gesto_stream::{SchemaBuilder, SchemaRef, Value};
+
+    fn schema() -> SchemaRef {
+        SchemaBuilder::new("kinect")
+            .timestamp("ts")
+            .float("x")
+            .build()
+            .unwrap()
+    }
 
     fn catalog() -> Catalog {
         let cat = Catalog::new();
-        cat.register_stream(
-            SchemaBuilder::new("kinect")
-                .timestamp("ts")
-                .float("x")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        cat.register_stream(schema()).unwrap();
         cat
     }
 
     fn tup(ts: i64, x: f64) -> Tuple {
-        Tuple::new(
-            SchemaBuilder::new("kinect")
-                .timestamp("ts")
-                .float("x")
-                .build()
-                .unwrap(),
-            vec![Value::Timestamp(ts), Value::Float(x)],
-        )
-        .unwrap()
+        Tuple::new(schema(), vec![Value::Timestamp(ts), Value::Float(x)]).unwrap()
+    }
+
+    fn plan(cat: &Catalog, text: &str) -> Arc<QueryPlan> {
+        let funcs = FunctionRegistry::with_builtins();
+        QueryPlan::compile(parse_query(text).unwrap(), cat, &funcs).unwrap()
+    }
+
+    /// Pushes one tuple through `inst` on the shared data path.
+    fn push(inst: &mut PlanInstance, views: &mut SharedViews, t: Tuple, out: &mut Vec<Detection>) {
+        let batch = [t];
+        views.begin_batch("kinect", &batch);
+        inst.push_batch_shared("kinect", &batch, views, out)
+            .unwrap();
     }
 
     #[test]
     fn one_plan_many_independent_instances() {
         let cat = catalog();
-        let funcs = FunctionRegistry::with_builtins();
-        let q = parse_query(r#"SELECT "g" MATCHING kinect(x < 1) -> kinect(x > 9);"#).unwrap();
-        let plan = QueryPlan::compile(q, &cat, &funcs).unwrap();
+        let plan = plan(
+            &cat,
+            r#"SELECT "g" MATCHING kinect(x < 1) -> kinect(x > 9);"#,
+        );
         let mut a = plan.instantiate();
         let mut b = plan.instantiate();
         // Instantiation shares, never recompiles: both instances point at
@@ -567,29 +453,32 @@ mod tests {
         );
 
         // Session a is half-way through the pattern; session b saw nothing.
+        let (mut va, mut vb) = (SharedViews::new(&cat), SharedViews::new(&cat));
         let mut out = Vec::new();
-        a.push("kinect", &tup(0, 0.5), &mut out).unwrap();
+        push(&mut a, &mut va, tup(0, 0.5), &mut out);
         assert_eq!(a.stats().active_runs, 1);
         assert_eq!(b.stats().active_runs, 0, "run state is per instance");
 
         // Completing in a does not fire in b.
-        a.push("kinect", &tup(10, 10.0), &mut out).unwrap();
+        push(&mut a, &mut va, tup(10, 10.0), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].gesture, "g");
         assert_eq!(a.detections(), 1);
-        b.push("kinect", &tup(10, 10.0), &mut out).unwrap();
+        push(&mut b, &mut vb, tup(10, 10.0), &mut out);
         assert_eq!(b.detections(), 0, "b never saw the first step");
     }
 
     #[test]
     fn instance_reset_drops_runs() {
         let cat = catalog();
-        let funcs = FunctionRegistry::with_builtins();
-        let q = parse_query(r#"SELECT "g" MATCHING kinect(x < 1) -> kinect(x > 9);"#).unwrap();
-        let plan = QueryPlan::compile(q, &cat, &funcs).unwrap();
-        let mut i = plan.instantiate();
+        let mut i = plan(
+            &cat,
+            r#"SELECT "g" MATCHING kinect(x < 1) -> kinect(x > 9);"#,
+        )
+        .instantiate();
+        let mut views = SharedViews::new(&cat);
         let mut out = Vec::new();
-        i.push("kinect", &tup(0, 0.5), &mut out).unwrap();
+        push(&mut i, &mut views, tup(0, 0.5), &mut out);
         assert_eq!(i.stats().active_runs, 1);
         i.reset();
         assert_eq!(i.stats().active_runs, 0);
@@ -598,35 +487,31 @@ mod tests {
     #[test]
     fn draining_completes_but_never_seeds() {
         let cat = catalog();
-        let funcs = FunctionRegistry::with_builtins();
-        let q = parse_query(r#"SELECT "g" MATCHING kinect(x < 1) -> kinect(x > 9);"#).unwrap();
-        let plan = QueryPlan::compile(q, &cat, &funcs).unwrap();
-        let mut i = plan.instantiate();
+        let mut i = plan(
+            &cat,
+            r#"SELECT "g" MATCHING kinect(x < 1) -> kinect(x > 9);"#,
+        )
+        .instantiate();
+        let mut views = SharedViews::new(&cat);
         let mut out = Vec::new();
 
         // One in-flight run, then switch to draining.
-        i.push("kinect", &tup(0, 0.5), &mut out).unwrap();
+        push(&mut i, &mut views, tup(0, 0.5), &mut out);
         assert_eq!(i.active_runs(), 1);
-        i.set_draining(true);
-        assert!(i.is_draining());
+        i.set_draining();
 
         // A seed-step tuple no longer starts a run…
-        i.push("kinect", &tup(5, 0.5), &mut out).unwrap();
+        push(&mut i, &mut views, tup(5, 0.5), &mut out);
         assert_eq!(i.active_runs(), 1, "draining must not seed new runs");
 
         // …but the in-flight run still completes.
-        i.push("kinect", &tup(10, 10.0), &mut out).unwrap();
+        push(&mut i, &mut views, tup(10, 10.0), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(i.active_runs(), 0, "drained");
 
         // Fully inert now.
-        i.push("kinect", &tup(20, 0.5), &mut out).unwrap();
-        i.push("kinect", &tup(30, 10.0), &mut out).unwrap();
+        push(&mut i, &mut views, tup(20, 0.5), &mut out);
+        push(&mut i, &mut views, tup(30, 10.0), &mut out);
         assert_eq!(out.len(), 1);
-
-        // Re-enabling seeding restores normal behaviour.
-        i.set_draining(false);
-        i.push("kinect", &tup(40, 0.5), &mut out).unwrap();
-        assert_eq!(i.active_runs(), 1);
     }
 }

@@ -437,4 +437,40 @@ mod tests {
         );
         server.shutdown();
     }
+
+    #[test]
+    fn redeploy_while_the_seed_pose_recurs_detects_once() {
+        // The rollout lands two frames into a swipe: the old version
+        // holds the run seeded by the first frames, and the seed pose
+        // recurs after the cutover, so the new version seeds its own
+        // run of the same performance. Both versions complete on the
+        // same frame; their shared completion wave reports it once —
+        // exactly what a server that never redeployed reports.
+        let detections = |redeploy: bool| {
+            let server = server_with_swipe(ServerConfig::new().with_shards(1));
+            let text = server
+                .store()
+                .get("swipe_right")
+                .unwrap()
+                .query_text
+                .unwrap();
+            let frames = swipe_frames(77);
+            let (head, tail) = frames.split_at(2);
+            server.push_batch(SessionId(0), head.to_vec()).unwrap();
+            server.drain().unwrap();
+            if redeploy {
+                server.deploy_text(&text).unwrap();
+                server.drain().unwrap();
+                let retiring: usize = server.metrics().shards.iter().map(|s| s.retiring).sum();
+                assert_eq!(retiring, 1, "old version holds the seeded run");
+            }
+            server.push_batch(SessionId(0), tail.to_vec()).unwrap();
+            server.drain().unwrap();
+            let hits = server.metrics().per_gesture.get("swipe_right").copied();
+            server.shutdown();
+            hits
+        };
+        assert_eq!(detections(false), Some(1));
+        assert_eq!(detections(true), Some(1), "redeploy ≡ no redeploy");
+    }
 }

@@ -200,7 +200,8 @@ pub struct ShardSnapshot {
     pub shed_frames: u64,
     /// Batches lost to the drop-oldest policy.
     pub shed_batches: u64,
-    /// Tuples that failed predicate evaluation.
+    /// Batches in which a plan failed to evaluate, plus plans a session
+    /// failed to deploy.
     pub push_errors: u64,
     /// Detection-sink invocations that panicked (caught; the shard
     /// keeps running).

@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use gesto_cep::{parse_query, Detection, FunctionRegistry, Query, QueryPlan};
+use gesto_cep::{parse_query, Detection, FunctionRegistry, Query, QueryPlan, SessionRuntime};
 use gesto_db::GestureStore;
 use gesto_durability::{load_newest_checkpoint, save_checkpoint, Journal};
 use gesto_kinect::{kinect_schema, SkeletonFrame, KINECT_STREAM};
@@ -112,9 +112,8 @@ fn run_supervised(worker: ShardWorker, ctx: SuperviseCtx) {
 }
 
 /// One deployed plan with its rollout version. Redeploying a name
-/// installs version `n + 1`; shards cut the new instance in at a batch
-/// boundary and drain the old one's in-flight runs before retiring it
-/// (see `Control::Deploy` handling in [`crate::shard`]).
+/// installs version `n + 1`; every shard session rolls out to it at a
+/// batch boundary ([`SessionRuntime::deploy`]).
 pub(crate) struct DeployedPlan {
     pub plan: Arc<QueryPlan>,
     pub version: u32,
@@ -642,7 +641,12 @@ impl ServerHandle {
     /// (without seeding new ones) until they complete or expire — a
     /// redeploy under load drops no frames and loses no in-flight
     /// detection.
+    ///
+    /// Fails, before anything is journaled or broadcast, if the plan
+    /// reads a view this server's catalog lacks (e.g. it was compiled
+    /// against another catalog).
     pub fn deploy_plan(&self, plan: Arc<QueryPlan>) -> Result<(), ServeError> {
+        SessionRuntime::new(self.core.catalog.clone()).deploy(plan.clone())?;
         // Hold the registry lock across the journal append and the
         // broadcast so concurrent deploy/undeploy calls serialise:
         // every shard sees control messages in the same order as the

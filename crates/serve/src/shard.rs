@@ -11,10 +11,10 @@
 //! conversion of the whole batch straight from the skeleton frames
 //! ([`KinectSlots::write_block`] — no per-frame `Vec<Value>` round-trip
 //! for the float lanes), one shared view evaluation for the whole batch
-//! ([`SharedViews::begin_batch_prefilled`]), then every deployed plan
-//! instance steps its NFA batch-at-a-time over the shared view outputs
-//! and their columnar blocks ([`PlanInstance::push_batch_shared`]) —
-//! deploying more gestures does not re-run the coordinate
+//! (`SharedViews::begin_batch_prefilled`), then the session's
+//! [`SessionRuntime::step`] advances every deployed plan's NFA
+//! batch-at-a-time over the shared view outputs and their columnar
+//! blocks — deploying more gestures does not re-run the coordinate
 //! transformation, and matching a batch that detects nothing allocates
 //! nothing.
 
@@ -24,9 +24,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
-use gesto_cep::{Detection, PlanInstance, QueryPlan};
+use gesto_cep::{Detection, QueryPlan, SessionRuntime};
 use gesto_kinect::{KinectSlots, SkeletonFrame};
-use gesto_stream::{Catalog, SchemaRef, SharedViews, Tuple};
+use gesto_stream::{Catalog, SchemaRef, Tuple};
 use parking_lot::RwLock;
 
 use gesto_telemetry::Sampler;
@@ -52,12 +52,11 @@ pub(crate) struct Batch {
 
 pub(crate) enum Control {
     /// Deploy or replace a shared plan. Replacing is a **versioned
-    /// rollout**: the new instance cuts in at this message's position
-    /// in the FIFO (a batch boundary), and the replaced instance keeps
-    /// stepping in draining mode — advancing its in-flight partial
-    /// matches without seeding new ones — until they complete or
-    /// expire. No frame is dropped and no in-flight detection is lost
-    /// at cutover.
+    /// rollout** ([`SessionRuntime::deploy`]): the new version cuts in
+    /// at this message's position in the FIFO (a batch boundary), and
+    /// the replaced one drains its in-flight partial matches. No frame
+    /// is dropped, and a performance in flight at cutover is detected
+    /// exactly once.
     Deploy(Arc<QueryPlan>),
     /// Remove a plan (and its per-session instances).
     Undeploy(String),
@@ -194,17 +193,10 @@ pub(crate) enum WorkerExit {
     Panicked(Box<ShardWorker>),
 }
 
-/// State owned by one session on this shard: a shared view runtime (each
-/// view evaluated once per frame), one runtime instance per deployed
-/// plan in deployment order, plus the retiring instances of replaced
-/// plan versions, still draining their in-flight partial matches.
-pub(crate) struct SessionRuntime {
-    views: SharedViews,
-    instances: Vec<PlanInstance>,
-    /// Replaced instances in draining mode: they step on every batch
-    /// (completing or expiring their in-flight runs, never seeding new
-    /// ones) and are dropped once [`PlanInstance::active_runs`] hits 0.
-    retiring: Vec<PlanInstance>,
+/// State owned by one session on this shard: its [`SessionRuntime`]
+/// plus the shard's admission and accounting state for it.
+pub(crate) struct Session {
+    runtime: SessionRuntime,
     /// Frame-rate quota token bucket (tokens = frames). Refilled from
     /// batch *enqueue* timestamps — not wall-clock reads on the worker —
     /// so admission is deterministic per producer timeline. Burst
@@ -212,49 +204,70 @@ pub(crate) struct SessionRuntime {
     quota_tokens: f64,
     /// Enqueue instant of the last quota-checked batch.
     quota_stamp: Option<Instant>,
-    /// Last reported [`PlanInstance::state_bytes`] sum, so the shard
-    /// gauge is updated by delta per batch.
+    /// Last reported [`SessionRuntime::state_bytes`] and
+    /// [`SessionRuntime::retiring`], so the shard gauges are updated by
+    /// delta.
     last_state_bytes: usize,
+    last_retiring: usize,
 }
 
-impl SessionRuntime {
-    fn new(catalog: &Catalog, plans: &[Arc<QueryPlan>], columnar: bool) -> Self {
-        let mut views = SharedViews::new(catalog);
-        views.set_columnar(columnar);
-        Self::sync_needed(&mut views, plans, &[]);
-        Self {
-            views,
-            instances: plans.iter().map(|p| p.instantiate()).collect(),
-            retiring: Vec::new(),
+impl Session {
+    /// A session running every plan in `plans`. The server validated
+    /// each against this catalog before broadcasting it, so a deploy
+    /// error here is counted, not expected.
+    fn new(catalog: &Arc<Catalog>, plans: &[Arc<QueryPlan>], metrics: &ShardMetrics) -> Self {
+        let mut session = Self {
+            runtime: SessionRuntime::new(catalog.clone()),
             quota_tokens: 0.0,
             quota_stamp: None,
             last_state_bytes: 0,
+            last_retiring: 0,
+        };
+        for plan in plans {
+            session.deploy(plan.clone(), metrics);
+        }
+        session
+    }
+
+    fn deploy(&mut self, plan: Arc<QueryPlan>, metrics: &ShardMetrics) {
+        if self.runtime.deploy(plan).is_err() {
+            metrics.push_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        self.account(metrics);
+    }
+
+    /// Folds this session's change in retiring versions and run-state
+    /// bytes into the shard gauges. Capacity-based (see
+    /// `PlanInstance::state_bytes`), so the steady state — capacities
+    /// settled — is a few loads and zero deltas.
+    fn account(&mut self, metrics: &ShardMetrics) {
+        let retiring = self.runtime.retiring();
+        if retiring != self.last_retiring {
+            metrics.retiring.fetch_add(retiring, Ordering::Relaxed);
+            metrics
+                .retiring
+                .fetch_sub(self.last_retiring, Ordering::Relaxed);
+            self.last_retiring = retiring;
+        }
+        let bytes = self.runtime.state_bytes();
+        if bytes != self.last_state_bytes {
+            metrics.state_bytes.fetch_add(
+                bytes as i64 - self.last_state_bytes as i64,
+                Ordering::Relaxed,
+            );
+            self.last_state_bytes = bytes;
         }
     }
 
-    /// Marks exactly the views referenced by the deployed plans' routes
-    /// as needed (stale views stop being evaluated after an undeploy)
-    /// and declares the float columns the deployed predicates read, so
-    /// the per-batch columnar blocks only materialise those lanes.
-    /// Retiring instances keep their views alive until they finish
-    /// draining — a replaced plan's in-flight runs still need them.
-    fn sync_needed(views: &mut SharedViews, plans: &[Arc<QueryPlan>], retiring: &[PlanInstance]) {
-        let mut all: Vec<Arc<QueryPlan>> = plans.to_vec();
-        for inst in retiring {
-            all.push(inst.plan().clone());
-        }
-        let mut needed: Vec<&str> = Vec::new();
-        for plan in &all {
-            for route in plan.routes() {
-                for v in &route.views {
-                    if !needed.contains(&v.as_str()) {
-                        needed.push(v);
-                    }
-                }
-            }
-        }
-        views.set_needed(needed);
-        gesto_cep::sync_block_columns(views, &all);
+    /// Takes this session's share out of the shard gauges (it is being
+    /// dropped or replaced).
+    fn release(&self, metrics: &ShardMetrics) {
+        metrics
+            .retiring
+            .fetch_sub(self.last_retiring, Ordering::Relaxed);
+        metrics
+            .state_bytes
+            .fetch_sub(self.last_state_bytes as i64, Ordering::Relaxed);
     }
 }
 
@@ -267,7 +280,7 @@ pub(crate) struct ShardWorker {
     pub gate: Arc<QueueGate>,
     pub listeners: Arc<RwLock<Vec<DetectionSink>>>,
     pub plans: Vec<Arc<QueryPlan>>,
-    pub sessions: HashMap<SessionId, SessionRuntime>,
+    pub sessions: HashMap<SessionId, Session>,
     /// Columnar data path enabled (from the server config).
     columnar: bool,
     /// Minimum frames per batch for the columnar path; shorter batches
@@ -454,14 +467,9 @@ impl ShardWorker {
             .fetch_add(frames, Ordering::Relaxed);
         self.detections.clear();
         self.tuples.clear();
-        if let Some(rt) = self.sessions.get_mut(&session) {
-            self.metrics
-                .retiring
-                .fetch_sub(rt.retiring.len(), Ordering::Relaxed);
-            self.metrics
-                .state_bytes
-                .fetch_sub(rt.last_state_bytes as i64, Ordering::Relaxed);
-            *rt = SessionRuntime::new(&self.catalog, &self.plans, self.columnar);
+        if let Some(state) = self.sessions.get_mut(&session) {
+            state.release(&self.metrics);
+            *state = Session::new(&self.catalog, &self.plans, &self.metrics);
             self.metrics.sessions_reset.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -496,11 +504,11 @@ impl ShardWorker {
             session_frame_quota,
             ..
         } = self;
-        let runtime = match sessions.entry(batch.session) {
+        let state = match sessions.entry(batch.session) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 metrics.sessions.fetch_add(1, Ordering::Relaxed);
-                e.insert(SessionRuntime::new(catalog, plans, *columnar))
+                e.insert(Session::new(catalog, plans, metrics))
             }
         };
         // Data-path failpoint (disarmed: one relaxed load). Placed after
@@ -515,34 +523,27 @@ impl ShardWorker {
         let quota = *session_frame_quota;
         if quota > 0 {
             let rate = f64::from(quota);
-            runtime.quota_tokens = match runtime.quota_stamp {
+            state.quota_tokens = match state.quota_stamp {
                 Some(prev) => {
                     let dt = batch.enqueued.saturating_duration_since(prev).as_secs_f64();
-                    (runtime.quota_tokens + dt * rate).min(rate)
+                    (state.quota_tokens + dt * rate).min(rate)
                 }
                 None => rate,
             };
-            runtime.quota_stamp = Some(batch.enqueued);
+            state.quota_stamp = Some(batch.enqueued);
             let need = batch.frames.len() as f64;
-            if runtime.quota_tokens < need {
+            if state.quota_tokens < need {
                 metrics
                     .quota_frames
                     .fetch_add(batch.frames.len() as u64, Ordering::Relaxed);
                 metrics.quota_batches.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            runtime.quota_tokens -= need;
+            state.quota_tokens -= need;
         }
 
         detections.clear();
-        let mut errors = 0u64;
-        let SessionRuntime {
-            views,
-            instances,
-            retiring,
-            last_state_bytes,
-            ..
-        } = runtime;
+        let views = state.runtime.views_mut();
         // 1-in-N stage timing: a sampled batch takes one Instant
         // reading per stage boundary; an unsampled batch (the steady
         // state) pays a single integer decrement and no clock reads.
@@ -551,8 +552,8 @@ impl ShardWorker {
         // Transform-once, step-batched: one tuple conversion per frame
         // (and, on the columnar path, one frame→block conversion of the
         // whole batch straight from the skeleton frames), one shared
-        // view evaluation per batch, then every deployed plan steps its
-        // NFA over the whole batch in one call.
+        // view evaluation per batch, then the session runtime steps
+        // every deployed plan's NFA over the whole batch.
         let mark = timed.then(Instant::now);
         tuples.clear();
         tuples.extend(batch.frames.iter().map(|f| slots.tuple(f, schema)));
@@ -593,63 +594,20 @@ impl ShardWorker {
             stages.views.record(t0.elapsed().as_nanos() as u64);
         }
         let mark = timed.then(Instant::now);
-        for inst in instances.iter_mut() {
-            if inst
-                .push_batch_shared(stream, tuples, views, detections)
-                .is_err()
-            {
-                errors += 1;
-            }
-        }
-        // Retiring instances of replaced plan versions step the same
-        // batch: their in-flight runs advance (and may still detect)
-        // but never seed, so a well-separated performance is matched by
-        // exactly one version. Fully-drained instances retire here.
-        if !retiring.is_empty() {
-            for inst in retiring.iter_mut() {
-                if inst
-                    .push_batch_shared(stream, tuples, views, detections)
-                    .is_err()
-                {
-                    errors += 1;
-                }
-            }
-            if retiring.iter().any(|i| i.active_runs() == 0) {
-                let before = retiring.len();
-                retiring.retain(|i| i.active_runs() > 0);
-                metrics
-                    .retiring
-                    .fetch_sub(before - retiring.len(), Ordering::Relaxed);
-                SessionRuntime::sync_needed(views, plans, retiring);
-            }
-        }
+        let stepped = state.runtime.step(stream, tuples, detections);
         if let Some(t0) = mark {
             stages.nfa.record(t0.elapsed().as_nanos() as u64);
         }
-
-        // Run-slab accounting for the memory budget: fold this session's
-        // state-size change into the shard gauge. Capacity-based (see
-        // `PlanInstance::state_bytes`), so the steady state — capacities
-        // settled — is a few loads and a zero delta.
-        let state_now: usize = instances
-            .iter()
-            .chain(retiring.iter())
-            .map(PlanInstance::state_bytes)
-            .sum();
-        if state_now != *last_state_bytes {
-            metrics.state_bytes.fetch_add(
-                state_now as i64 - *last_state_bytes as i64,
-                Ordering::Relaxed,
-            );
-            *last_state_bytes = state_now;
-        }
+        // Run-slab accounting for the memory budget, and retiring
+        // versions that drained during the step.
+        state.account(metrics);
 
         metrics
             .frames_in
             .fetch_add(batch.frames.len() as u64, Ordering::Relaxed);
         metrics.batches_in.fetch_add(1, Ordering::Relaxed);
-        if errors > 0 {
-            metrics.push_errors.fetch_add(errors, Ordering::Relaxed);
+        if stepped.is_err() {
+            metrics.push_errors.fetch_add(1, Ordering::Relaxed);
         }
 
         let mark = timed.then(Instant::now);
@@ -706,29 +664,8 @@ impl ShardWorker {
             Some(p) => *p = plan.clone(),
             None => self.plans.push(plan.clone()),
         }
-        for slot in self.sessions.values_mut() {
-            let instances = &mut slot.instances;
-            match instances.iter_mut().find(|i| i.name() == plan.name()) {
-                Some(i) => {
-                    // Versioned cutover: the new version takes
-                    // the slot (and seeds from the next frame
-                    // on); the old one drains its in-flight
-                    // runs in the retiring set instead of
-                    // dropping them mid-gesture.
-                    let mut old = std::mem::replace(i, plan.instantiate());
-                    if old.active_runs() > 0 {
-                        old.set_draining(true);
-                        self.metrics.retiring.fetch_add(1, Ordering::Relaxed);
-                        slot.retiring.push(old);
-                    }
-                }
-                None => instances.push(plan.instantiate()),
-            }
-            // The plan may reference views registered after the
-            // session started; instantiate them and re-mark the
-            // needed set.
-            slot.views.refresh(&self.catalog);
-            SessionRuntime::sync_needed(&mut slot.views, &self.plans, &slot.retiring);
+        for state in self.sessions.values_mut() {
+            state.deploy(plan.clone(), &self.metrics);
         }
     }
 
@@ -738,37 +675,23 @@ impl ShardWorker {
             Control::Deploy(plan) => self.apply_deploy(plan),
             Control::Undeploy(name) => {
                 self.plans.retain(|p| p.name() != name);
-                for slot in self.sessions.values_mut() {
-                    slot.instances.retain(|i| i.name() != name);
+                for state in self.sessions.values_mut() {
                     // Undeploy is not a rollout: in-flight runs of the
                     // removed plan (any version) are discarded.
-                    let before = slot.retiring.len();
-                    slot.retiring.retain(|i| i.name() != name);
-                    self.metrics
-                        .retiring
-                        .fetch_sub(before - slot.retiring.len(), Ordering::Relaxed);
-                    SessionRuntime::sync_needed(&mut slot.views, &self.plans, &slot.retiring);
+                    let _ = state.runtime.undeploy(&name);
+                    state.account(&self.metrics);
                 }
             }
             Control::Open(session) => {
                 if let std::collections::hash_map::Entry::Vacant(e) = self.sessions.entry(session) {
                     self.metrics.sessions.fetch_add(1, Ordering::Relaxed);
-                    e.insert(SessionRuntime::new(
-                        &self.catalog,
-                        &self.plans,
-                        self.columnar,
-                    ));
+                    e.insert(Session::new(&self.catalog, &self.plans, &self.metrics));
                 }
             }
             Control::Close(session, ack) => {
-                if let Some(rt) = self.sessions.remove(&session) {
+                if let Some(state) = self.sessions.remove(&session) {
                     self.metrics.sessions.fetch_sub(1, Ordering::Relaxed);
-                    self.metrics
-                        .retiring
-                        .fetch_sub(rt.retiring.len(), Ordering::Relaxed);
-                    self.metrics
-                        .state_bytes
-                        .fetch_sub(rt.last_state_bytes as i64, Ordering::Relaxed);
+                    state.release(&self.metrics);
                 }
                 if let Some(ack) = ack {
                     let _ = ack.send(());

@@ -365,7 +365,7 @@ impl ServerTelemetry {
                 c(
                     set,
                     "gesto_shard_push_errors_total",
-                    "Tuples that failed predicate evaluation",
+                    "Batches in which a plan failed to evaluate, plus plans a session failed to deploy",
                     m.push_errors.load(Ordering::Relaxed),
                 );
                 c(

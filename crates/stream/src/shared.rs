@@ -158,8 +158,8 @@ impl SharedViews {
 
     /// Marks exactly the given views — plus their transitive view inputs
     /// — as needed; every other view is skipped by [`Self::begin_frame`].
-    /// Unknown names are ignored (the caller's plan then falls back to
-    /// its own chains).
+    /// Unknown names are ignored (a consumer that needs one cannot bind
+    /// to it).
     pub fn set_needed<'a>(&mut self, names: impl IntoIterator<Item = &'a str>) {
         for s in &mut self.states {
             s.needed = false;

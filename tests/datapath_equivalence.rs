@@ -1,22 +1,28 @@
 //! Equivalence of the transform-once data path with the seed's
 //! per-route path.
 //!
-//! The refactored spine (shared view evaluation + slot-compiled
-//! `kinect_t` + `Engine::push_batch` + shared-path shard workers) must
-//! produce **bit-identical detections** to the seed semantics, where
-//! every deployed query route ran its own private `Transformer` chain.
-//! The legacy semantics are still reachable through
-//! [`PlanInstance::push`], which this test uses as the reference.
+//! The production data path — one `gesto_cep::SessionRuntime` per
+//! session, evaluating each view once per batch in its `SharedViews` and
+//! stepping every plan's NFA over the shared outputs, behind both
+//! `Engine` and the server's shard workers — must produce
+//! **bit-identical detections** to the seed semantics, where every
+//! deployed query route ran its own private `Transformer` chain. That
+//! per-route path survives only here, as the named reference
+//! [`reference_detections`]: private chains built from
+//! `RouteSpec::factories` feeding a bare `NfaRuntime`, one tuple at a
+//! time.
 //!
 //! The check sweeps randomised scenarios: different gesture sets (learned
 //! transformed-view queries, raw-stream queries, hand-written sequences),
 //! personas (height, position, rotation, sensor noise) and session
-//! counts, through both the engine and the sharded server.
+//! counts, through both the engine and the sharded server. It also pins
+//! the batched and columnar NFA stepping to single-tuple stepping, and
+//! the engine to the server when a plan fails on a frame.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gesto::cep::{parse_query, Detection, Engine, PlanInstance, QueryPlan};
+use gesto::cep::{parse_query, Detection, Engine, NfaRuntime, QueryPlan};
 use gesto::kinect::{
     frames_to_tuples, gestures, kinect_schema, GestureSpec, NoiseModel, Performer, Persona,
     SkeletonFrame, KINECT_STREAM,
@@ -24,7 +30,7 @@ use gesto::kinect::{
 use gesto::learn::query_gen::{generate_query, QueryStyle};
 use gesto::learn::{Learner, LearnerConfig};
 use gesto::serve::{BackpressurePolicy, Server, ServerConfig, SessionId};
-use gesto::stream::Tuple;
+use gesto::stream::{BoxedOperator, Tuple};
 use gesto::transform::{register_rpy, standard_catalog, TransformConfig, Transformer};
 use parking_lot::Mutex;
 
@@ -100,17 +106,52 @@ fn workload(seed: u64) -> Vec<SkeletonFrame> {
     frames
 }
 
-/// Reference semantics: the seed's per-route path. Every plan instance
-/// runs its own private view chains (one `Transformer` per route).
+/// The per-route reference (the seed's semantics): every route of every
+/// plan runs its own private view chain, instantiated from
+/// `RouteSpec::factories`, and each plan steps a bare `NfaRuntime` one
+/// tuple at a time.
 fn reference_detections(plans: &[Arc<QueryPlan>], tuples: &[Tuple]) -> Vec<Detection> {
-    let mut instances: Vec<PlanInstance> = plans.iter().map(|p| p.instantiate()).collect();
     let mut out = Vec::new();
-    for t in tuples {
-        for inst in &mut instances {
-            inst.push(KINECT_STREAM, t, &mut out).expect("legacy push");
+    for plan in plans {
+        let mut chains: Vec<Vec<BoxedOperator>> = plan
+            .routes()
+            .iter()
+            .map(|r| r.factories.iter().map(|f| f()).collect())
+            .collect();
+        let mut nfa = NfaRuntime::instantiate(plan.program().clone());
+        for t in tuples {
+            for (route, chain) in plan.routes().iter().zip(&mut chains) {
+                if route.base != KINECT_STREAM {
+                    continue;
+                }
+                for event in run_chain(chain, t) {
+                    for m in nfa.advance(&route.source, &event).expect("reference step") {
+                        out.push(Detection {
+                            gesture: plan.name().to_owned(),
+                            ts: m.ts,
+                            started_at: m.started_at,
+                            events: m.events,
+                        });
+                    }
+                }
+            }
         }
     }
     out
+}
+
+/// Runs one tuple through a private view chain; each stage may emit
+/// 0..n tuples.
+fn run_chain(chain: &mut [BoxedOperator], tuple: &Tuple) -> Vec<Tuple> {
+    let mut staged = vec![tuple.clone()];
+    for op in chain {
+        let mut next = Vec::new();
+        for t in &staged {
+            op.process(t, &mut |o| next.push(o));
+        }
+        staged = next;
+    }
+    staged
 }
 
 /// One detection's full-fidelity comparison key: (gesture, ts,
@@ -750,4 +791,80 @@ fn server_sessions_match_seed_per_route_path() {
         assert!(!expect.is_empty(), "session {s} must detect something");
     }
     server.shutdown();
+}
+
+/// A plan that fails on a frame must not change what the other plans
+/// detect, on the engine as on the server: both step every plan over
+/// every batch and report the first error.
+#[test]
+fn a_failing_plan_does_not_stop_the_others_on_engine_or_server() {
+    use gesto::kinect::{Joint, Vec3};
+
+    // Deployed first, so it steps first: a NaN hand coordinate makes
+    // its ordering predicate fail on the scalar path.
+    const FAILING: &str =
+        r#"SELECT "fails" MATCHING kinect(rHand_x < 100000) -> kinect(rHand_x > -100000);"#;
+    const STEADY: &str = r#"SELECT "steady" MATCHING kinect(head_y > -100000) -> kinect(head_y > -100000)
+                            within 1 seconds select first consume all;"#;
+    let mut frames = workload(3);
+    let n = frames.len();
+    for f in [n / 8, n / 8 + 1, n / 2, 3 * n / 4] {
+        let hand = frames[f].joint(Joint::RightHand).expect("tracked hand");
+        frames[f].set_joint(
+            Joint::RightHand,
+            Vec3 {
+                x: f64::NAN,
+                ..hand
+            },
+        );
+    }
+    let steady = |ds: &[Detection]| -> Vec<(i64, i64)> {
+        ds.iter()
+            .filter(|d| d.gesture == "steady")
+            .map(|d| (d.ts, d.started_at))
+            .collect()
+    };
+
+    let engine = Engine::new(standard_catalog());
+    engine.deploy_text(FAILING).unwrap();
+    engine.deploy_text(STEADY).unwrap();
+    let tuples = frames_to_tuples(&frames, &kinect_schema());
+    let mut on_engine = Vec::new();
+    let mut engine_errors = 0;
+    for chunk in tuples.chunks(32) {
+        engine_errors += usize::from(
+            engine
+                .push_batch_into(KINECT_STREAM, chunk, &mut on_engine)
+                .is_err(),
+        );
+    }
+    assert!(engine_errors >= 3, "the NaN frames must fail the plan");
+
+    let server = Server::start(ServerConfig::new().with_backpressure(BackpressurePolicy::Block));
+    server.deploy_text(FAILING).unwrap();
+    server.deploy_text(STEADY).unwrap();
+    let hits: Arc<Mutex<Vec<Detection>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = hits.clone();
+    server.on_detection(Arc::new(move |_, d: &Detection| {
+        sink.lock().push(d.clone())
+    }));
+    for chunk in frames.chunks(32) {
+        server.push_batch(SessionId(0), chunk.to_vec()).unwrap();
+    }
+    server.drain().unwrap();
+    let server_errors: u64 = server.metrics().shards.iter().map(|s| s.push_errors).sum();
+    assert_eq!(server_errors, engine_errors as u64);
+    let on_server = hits.lock().clone();
+    server.shutdown();
+
+    let expect = steady(&on_engine);
+    assert!(expect.len() >= n / 3, "the steady plan detects throughout");
+    assert_eq!(steady(&on_server), expect, "engine and server diverged");
+    // …and exactly as if the failing plan were not deployed at all.
+    let alone = Engine::new(standard_catalog());
+    alone.deploy_text(STEADY).unwrap();
+    assert_eq!(
+        steady(&alone.push_batch(KINECT_STREAM, &tuples).unwrap()),
+        expect
+    );
 }
